@@ -7,15 +7,12 @@
 //! `BENCH_sim_throughput.json`, the committed perf-trajectory baseline the
 //! README's "Simulator performance" section tracks PR-over-PR.
 //!
-//! Three kinds of measurement:
+//! Two kinds of measurement:
 //!
 //! * **Per-point** (always): one fixed-budget run per (workload, policy,
 //!   front-end mode) — `live` is the classic decode-and-execute front-end,
 //!   `replay` is the decode-once trace-replay front-end the sweep paths use
-//!   by default (including its one-time capture cost).
-//! * **Sweep** (`--sweep`): the fig10 full sweep (whole suite x paper
-//!   policies x 48 registers) with a cold cache, cold (live) vs
-//!   trace-replay, recording wall time and aggregate throughput.
+//!   (including its one-time capture cost).
 //! * **Regression gate** (`--baseline FILE`): compare this run's per-point
 //!   geometric-mean throughput against a committed baseline JSON and exit
 //!   non-zero if it regressed more than `--max-regression` percent.
@@ -35,19 +32,15 @@
 //!
 //! Usage:
 //!   bench_sim_throughput [--instructions N] [--workloads swim,gcc,asm]
-//!                        [--out BENCH_sim_throughput.json] [--sweep]
+//!                        [--out BENCH_sim_throughput.json]
 //!                        [--baseline FILE] [--max-regression PCT]
 //!                        [--profile]
 
 use earlyreg_core::{registry, ReleasePolicy};
-use earlyreg_experiments::config::ExperimentOptions;
-use earlyreg_experiments::runner::{cross_points, run_sweep_with_lane_stats};
 use earlyreg_sim::profile::prof;
-use earlyreg_sim::{
-    decoded_trace_for, LaneStats, MachineConfig, RunLimits, Simulator, TRACE_SLACK,
-};
+use earlyreg_sim::{decoded_trace_for, MachineConfig, RunLimits, Simulator, TRACE_SLACK};
 use earlyreg_workloads::registry as workloads_registry;
-use earlyreg_workloads::{shared_suite, workload_with_target_instructions, Scale, WorkloadKind};
+use earlyreg_workloads::{workload_with_target_instructions, WorkloadKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -55,7 +48,6 @@ struct Args {
     instructions: u64,
     workloads: Vec<String>,
     out: String,
-    sweep: bool,
     baseline: Option<String>,
     max_regression: f64,
     profile: bool,
@@ -65,7 +57,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_sim_throughput [--instructions N] [--workloads name,name,...] [--out FILE] \
-         [--sweep] [--baseline FILE] [--max-regression PCT] [--profile] [--profile-json FILE]"
+         [--baseline FILE] [--max-regression PCT] [--profile] [--profile-json FILE]"
     );
     std::process::exit(2);
 }
@@ -80,7 +72,6 @@ fn parse_args() -> Args {
             "quicksort".into(),
         ],
         out: "BENCH_sim_throughput.json".into(),
-        sweep: false,
         baseline: None,
         max_regression: 25.0,
         profile: false,
@@ -95,7 +86,6 @@ fn parse_args() -> Args {
                 args.workloads = value().split(',').map(str::to_owned).collect();
             }
             "--out" => args.out = value(),
-            "--sweep" => args.sweep = true,
             "--baseline" => args.baseline = Some(value()),
             "--max-regression" => args.max_regression = value().parse().unwrap_or_else(|_| usage()),
             "--profile" => args.profile = true,
@@ -129,26 +119,6 @@ impl Measurement {
     fn cps(&self) -> f64 {
         if self.seconds > 0.0 {
             self.cycles as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One timed sweep pass (cold cache): wall time + aggregate throughput +
-/// lane-group occupancy.
-struct SweepMeasurement {
-    mode: &'static str,
-    points: usize,
-    committed: u64,
-    seconds: f64,
-    lane_stats: LaneStats,
-}
-
-impl SweepMeasurement {
-    fn mips(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.committed as f64 / self.seconds
         } else {
             0.0
         }
@@ -209,44 +179,6 @@ fn write_profile_json(path: &str, captures: &[ProfileCapture]) {
     json.push_str("  ]\n}\n");
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path}");
-}
-
-/// The fig10 full sweep (whole suite x paper policies x 48 registers) with a
-/// cold point cache, in `mode` (`live` forces `EARLYREG_NO_REPLAY`).
-fn run_fig10_sweep(mode: &'static str, max_instructions: u64) -> SweepMeasurement {
-    let options = ExperimentOptions {
-        scale: Scale::Smoke,
-        threads: 0,
-        max_instructions,
-    };
-    // fig10's default plan covers the paper's Table 3 suite only, so the
-    // timed sweep filters the registry the same way.  `shared_suite` is the
-    // same memoized handle `run_sweep` uses internally: point enumeration
-    // needs the suite anyway, so the timed region below measures simulation,
-    // not a redundant second suite build.
-    let workloads: Vec<_> = shared_suite(options.scale)
-        .iter()
-        .filter(|w| w.spec.paper)
-        .cloned()
-        .collect();
-    let points = cross_points(&workloads, &registry::PAPER_POLICIES, &[48]);
-    let n = points.len();
-    if mode == "live" {
-        std::env::set_var("EARLYREG_NO_REPLAY", "1");
-    } else {
-        std::env::remove_var("EARLYREG_NO_REPLAY");
-    }
-    let start = Instant::now();
-    let (results, lane_stats) = run_sweep_with_lane_stats(&options, points);
-    let seconds = start.elapsed().as_secs_f64();
-    std::env::remove_var("EARLYREG_NO_REPLAY");
-    SweepMeasurement {
-        mode,
-        points: n,
-        committed: results.iter().map(|r| r.stats.committed).sum(),
-        seconds,
-        lane_stats,
-    }
 }
 
 /// Geometric mean of the `sim_instr_per_host_sec` values in a benchmark
@@ -316,7 +248,7 @@ fn main() {
                 let start = Instant::now();
                 let mut sim = if mode == "replay" {
                     // The capture is memoized per program, so only the first
-                    // replay lane of each workload pays it — exactly like a
+                    // replay run of each workload pays it — exactly like a
                     // sweep.  Time it inside the measurement to stay honest.
                     let trace = decoded_trace_for(
                         &workload.program,
@@ -357,31 +289,6 @@ fn main() {
         }
     }
 
-    let sweeps: Vec<SweepMeasurement> = if args.sweep {
-        ["live", "replay"]
-            .into_iter()
-            .map(|mode| {
-                let m = run_fig10_sweep(mode, args.instructions);
-                println!(
-                    "fig10 sweep {:<7} {:>3} points, {:>12} instructions in {:>7.3}s  ->  \
-                     {:>10.0} sim-instr/s  (lane occupancy {:.2}/{} over {} rounds)",
-                    m.mode,
-                    m.points,
-                    m.committed,
-                    m.seconds,
-                    m.mips(),
-                    m.lane_stats.occupancy(),
-                    earlyreg_experiments::runner::MAX_LANE_WIDTH,
-                    m.lane_stats.rounds,
-                );
-                maybe_profile(&args, &format!("fig10 sweep/{mode}"), &mut profile_captures);
-                m
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let mut json = String::from("{\n  \"benchmark\": \"sim_throughput\",\n  \"unit\": \"simulated instructions per host-second\",\n  \"points\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let _ = writeln!(
@@ -399,30 +306,6 @@ fn main() {
         );
     }
     json.push_str("  ]");
-    if !sweeps.is_empty() {
-        json.push_str(",\n  \"sweep\": {\n    \"experiment\": \"fig10\",\n    \"passes\": [\n");
-        for (i, m) in sweeps.iter().enumerate() {
-            let ls = &m.lane_stats;
-            let _ = writeln!(
-                json,
-                "      {{\"mode\": \"{}\", \"points\": {}, \"instructions\": {}, \"wall_seconds\": {:.6}, \"sim_instr_per_host_sec\": {:.1}, \"lanes\": {{\"lanes\": {}, \"rounds\": {}, \"live_lane_rounds\": {}, \"full_rounds\": {}, \"detached_lane_rounds\": {}, \"lane_cycles\": {}, \"occupancy\": {:.4}}}}}{}",
-                m.mode,
-                m.points,
-                m.committed,
-                m.seconds,
-                m.mips(),
-                ls.lanes,
-                ls.rounds,
-                ls.live_lane_rounds,
-                ls.full_rounds,
-                ls.detached_lane_rounds,
-                ls.lane_cycles,
-                ls.occupancy(),
-                if i + 1 < sweeps.len() { "," } else { "" },
-            );
-        }
-        json.push_str("    ]\n  }");
-    }
     json.push_str("\n}\n");
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
     println!("wrote {}", args.out);

@@ -482,7 +482,7 @@ impl PointResolver for CacheResolver<'_> {
             }
         }
 
-        // Batched lockstep scheduling: execute same-workload lanes
+        // Batched scheduling: execute same-workload points
         // consecutively (one shared decoded trace per workload), largest
         // groups first to minimise the parallel tail.  Results are keyed by
         // digest, so execution order never affects the output.

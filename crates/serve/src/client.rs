@@ -216,17 +216,18 @@ fn read_error(error: crate::http::ReadError) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
     use std::net::TcpListener;
 
-    /// A one-shot server thread answering with fixed raw bytes.
+    /// A one-shot server thread answering with fixed raw bytes.  It reads
+    /// the whole request (head and body) first: closing a socket with unread
+    /// bytes makes the kernel answer with RST, which would race the client's
+    /// read of the canned reply.
     fn one_shot(raw: &'static [u8]) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             if let Ok((mut stream, _)) = listener.accept() {
-                let mut sink = [0u8; 4096];
-                let _ = stream.read(&mut sink); // consume the request head
+                let _ = crate::http::read_request(&mut stream);
                 let _ = stream.write_all(raw);
             }
         });

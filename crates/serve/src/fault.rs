@@ -481,13 +481,13 @@ mod tests {
 
     #[test]
     fn pass_fault_relays_verbatim_and_counts() {
-        // A tiny upstream answering a fixed response.
+        // A tiny upstream answering a fixed response once it has read the
+        // whole request (closing on unread bytes would send RST).
         let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
         let upstream_addr = upstream.local_addr().unwrap();
         std::thread::spawn(move || {
             while let Ok((mut stream, _)) = upstream.accept() {
-                let mut sink = [0u8; 4096];
-                let _ = stream.read(&mut sink);
+                let _ = crate::http::read_request(&mut stream);
                 let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody");
             }
         });

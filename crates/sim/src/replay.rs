@@ -31,13 +31,6 @@
 //! construction: the trace is an *accelerator*, never an oracle the
 //! simulation depends on.  `tests/stats_equivalence.rs` pins bit-identical
 //! `SimStats` between the two front-ends for every registered policy.
-//!
-//! ## Disabling replay
-//!
-//! Set `EARLYREG_NO_REPLAY=1` to make the sweep paths
-//! (`earlyreg-experiments`, `earlyreg-serve`, the throughput benchmark)
-//! construct plain live-front-end simulators — useful when bisecting a
-//! suspected replay bug, at the cost of sweep throughput.
 
 use earlyreg_isa::{DecodedTrace, Program};
 use std::sync::{Arc, Mutex, Weak};
@@ -48,15 +41,9 @@ use std::sync::{Arc, Mutex, Weak};
 /// (Running off the end is still correct — fetch degrades to live.)
 pub const TRACE_SLACK: u64 = 4096;
 
-/// True when `EARLYREG_NO_REPLAY` is set (to anything non-empty): sweep
-/// paths should build live-front-end simulators for debugging.
-pub fn replay_disabled() -> bool {
-    std::env::var_os("EARLYREG_NO_REPLAY").is_some_and(|v| !v.is_empty())
-}
-
 /// The decoded trace for a shared program, memoized by `Arc` identity like
 /// the oracle kill plan: experiment sweeps hand the same `Arc<Program>` to
-/// every lane, so the capture pass runs once per (program, budget) instead
+/// every point, so the capture pass runs once per (program, budget) instead
 /// of once per point.  A cached trace is reused when it already covers
 /// `min_steps` (or the whole execution); a longer request replaces it.
 /// Entries are dropped when their program is; a racing duplicate capture is
