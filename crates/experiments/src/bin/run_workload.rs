@@ -8,6 +8,7 @@
 //!                [--max-instructions N] [--exception-interval N] [--verify]
 
 use earlyreg_core::ReleasePolicy;
+use earlyreg_experiments::ExperimentOptions;
 use earlyreg_sim::{verify_against_emulator, MachineConfig, RunLimits, Simulator};
 use earlyreg_workloads::{workload_by_name, Scale};
 
@@ -57,12 +58,7 @@ fn parse_args() -> Args {
             "--int-regs" => args.int_regs = value().parse().unwrap_or_else(|_| usage()),
             "--fp-regs" => args.fp_regs = value().parse().unwrap_or_else(|_| usage()),
             "--scale" => {
-                args.scale = match value().as_str() {
-                    "smoke" => Scale::Smoke,
-                    "bench" => Scale::Bench,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                }
+                args.scale = ExperimentOptions::parse_scale(&value()).unwrap_or_else(|_| usage())
             }
             "--max-instructions" => {
                 args.max_instructions = value().parse().unwrap_or_else(|_| usage())

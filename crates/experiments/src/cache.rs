@@ -256,4 +256,19 @@ mod tests {
         assert_eq!(cache.load(&self::key(1)), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn deeply_nested_entry_loads_as_a_miss() {
+        let dir =
+            std::env::temp_dir().join(format!("earlyreg-cache-nested-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = PointCache::new(&dir);
+        let key = key(4243);
+        cache.store(&key, &SimStats::default()).unwrap();
+        // A hostile entry nested far past the JSON parser's depth bound must
+        // degrade to a miss, not overflow the stack.
+        std::fs::write(cache.entry_path(&key), "[".repeat(500_000)).unwrap();
+        assert_eq!(cache.load(&key), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -20,8 +20,8 @@
 //!    [`ResultSet`]; the [`RunSummary`] reports planned / unique / cache-hit
 //!    / simulated point counts.
 //!
-//! The `earlyreg-exp` binary is a thin CLI over [`registry`] and [`run`];
-//! the historical per-experiment binaries are shims over [`shim_main`].
+//! The `earlyreg-exp` binary is a thin CLI over [`registry`] and
+//! [`run_to_files`].
 
 use crate::cache::{fnv1a64, CacheKey, PointCache};
 use crate::config::{ExperimentOptions, Scenario};
@@ -581,27 +581,6 @@ pub fn run_reports(
     let experiments = select(ids)?;
     let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
     Ok(run_with(&refs, ctx, resolver))
-}
-
-/// Entry point of the historical per-experiment binaries: parse the classic
-/// flags, run the one experiment through the engine (no disk cache) and
-/// print its text report — byte-for-byte what the pre-engine binary printed.
-pub fn shim_main(id: &str) {
-    let options = match ExperimentOptions::from_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
-    let ctx = PlanContext::new(options, Scenario::table2());
-    let registry = registry();
-    let experiment = registry
-        .iter()
-        .find(|e| e.id() == id)
-        .unwrap_or_else(|| panic!("experiment '{id}' is not registered"));
-    let outcome = run(&[experiment.as_ref()], &ctx, None);
-    emit(&outcome.reports[0], Format::Text, None).expect("stdout write");
 }
 
 /// Run experiments for a one-shot caller (the CLI, tests, tools): select by

@@ -5,16 +5,14 @@
 //! [`run_parallel`] distributes any list of jobs over a pool of scoped worker
 //! threads through a shared atomic work index and writes each result into the
 //! slot of its input item, so **output order never depends on thread
-//! interleaving**.  [`run_sweep`] builds on it: it sorts the points by their
-//! [`RunPoint`] ordering, drops duplicates and simulates each point once on
-//! the Table 2 machine.  (The experiment engine in [`crate::engine`] goes
-//! further: it plans the union of several experiments' points, dedups them
-//! across experiments and backs them with an on-disk cache.)
+//! interleaving**, and [`run_configured_point`] simulates one point.  The
+//! experiment engine in [`crate::engine`] builds on both: it plans the union
+//! of several experiments' points, dedups them, orders the misses with
+//! [`batch_order`] and backs them with an on-disk cache.
 
-use crate::config::ExperimentOptions;
 use earlyreg_core::ReleasePolicy;
 use earlyreg_sim::{decoded_trace_for, MachineConfig, RunLimits, SimStats, Simulator, TRACE_SLACK};
-use earlyreg_workloads::{shared_suite, Workload, WorkloadClass};
+use earlyreg_workloads::{Workload, WorkloadClass};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -82,42 +80,11 @@ pub fn run_configured_point(
     RunResult { point, stats }
 }
 
-/// Simulate a single point on the Table 2 machine.
-pub fn run_point(workload: &Workload, point: RunPoint, max_instructions: u64) -> RunResult {
-    let config = MachineConfig::icpp02(point.policy, point.phys_int, point.phys_fp);
-    run_configured_point(workload, point, config, max_instructions)
-}
-
-/// Helper: build the canonical cross product of points for the given
-/// workloads, policies and (symmetric) register file sizes.
-pub fn cross_points(
-    workloads: &[Workload],
-    policies: &[ReleasePolicy],
-    sizes: &[usize],
-) -> Vec<RunPoint> {
-    let mut points = Vec::with_capacity(workloads.len() * policies.len() * sizes.len());
-    for w in workloads {
-        for &policy in policies {
-            for &size in sizes {
-                points.push(RunPoint {
-                    workload: w.name(),
-                    class: w.class(),
-                    policy,
-                    phys_int: size,
-                    phys_fp: size,
-                });
-            }
-        }
-    }
-    points
-}
-
 /// Run `job` over every item on `threads` scoped worker threads and return
 /// the results **in input order**: each worker writes its result into the
 /// slot of the item it claimed, so the output is deterministic regardless of
 /// how the threads interleave.  With one thread (or one item) the jobs run
-/// inline on the calling thread — no spawn, and thread-local state such as
-/// the phase profiler keeps accumulating where the caller can read it.
+/// inline on the calling thread, without a spawn.
 pub fn run_parallel<T, R, F>(threads: usize, items: &[T], job: F) -> Vec<R>
 where
     T: Sync,
@@ -182,49 +149,12 @@ pub fn batch_order<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<u
         .collect()
 }
 
-/// Run every point in parallel and return the results sorted by [`RunPoint`]
-/// (duplicates removed), independent of worker-thread interleaving.
-pub fn run_sweep(options: &ExperimentOptions, mut points: Vec<RunPoint>) -> Vec<RunResult> {
-    points.sort_unstable();
-    points.dedup();
-    let workloads = shared_suite(options.scale);
-    run_parallel(options.effective_threads(), &points, |&point| {
-        let workload = workloads
-            .iter()
-            .find(|w| w.name() == point.workload)
-            .unwrap_or_else(|| panic!("unknown workload '{}'", point.workload));
-        run_point(workload, point, options.max_instructions)
-    })
-}
-
-/// Select, from a result set, the IPC of a specific point.
-pub fn ipc_of(
-    results: &[RunResult],
-    workload: &str,
-    policy: ReleasePolicy,
-    phys_int: usize,
-) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| {
-            r.point.workload == workload && r.point.policy == policy && r.point.phys_int == phys_int
-        })
-        .map(|r| r.ipc())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ExperimentOptions, Scenario};
+    use crate::engine::{dedup_plan, simulate, PlanContext};
     use earlyreg_workloads::Scale;
-
-    #[test]
-    fn cross_points_covers_the_product() {
-        let workloads = earlyreg_workloads::suite(Scale::Smoke);
-        let points = cross_points(&workloads, &[ReleasePolicy::Conventional], &[48, 64]);
-        // every registered workload (15) x 1 policy x 2 sizes.
-        assert_eq!(points.len(), workloads.len() * 2);
-        assert_eq!(points.len(), 30);
-    }
 
     #[test]
     fn run_parallel_preserves_input_order() {
@@ -241,70 +171,68 @@ mod tests {
         assert!(results.is_empty());
     }
 
+    /// A smoke-scale context whose sweeps cover `workloads`.
+    fn smoke_ctx(threads: usize, max_instructions: u64, workloads: &str) -> PlanContext {
+        PlanContext::new(
+            ExperimentOptions {
+                scale: Scale::Smoke,
+                threads,
+                max_instructions,
+            },
+            Scenario::parse("sweep", &format!("workloads = {workloads}")).unwrap(),
+        )
+    }
+
     #[test]
     fn sweep_runs_points_in_parallel_and_sorts_results() {
-        let options = ExperimentOptions {
-            scale: Scale::Smoke,
-            threads: 2,
-            max_instructions: 20_000,
-        };
-        let workloads = earlyreg_workloads::suite(Scale::Smoke);
-        let subset: Vec<Workload> = workloads
-            .into_iter()
-            .filter(|w| w.name() == "perl" || w.name() == "swim")
-            .collect();
-        let points = cross_points(
-            &subset,
-            &[ReleasePolicy::Conventional, ReleasePolicy::Extended],
-            &[48],
-        );
-        let results = run_sweep(&options, points);
+        let ctx = smoke_ctx(2, 20_000, "perl, swim");
+        let policies = [ReleasePolicy::Conventional, ReleasePolicy::Extended];
+        let plan = dedup_plan(ctx.cross(&policies, &[48]));
+        let results = simulate(&ctx, &plan);
         assert_eq!(results.len(), 4);
+        let perl = ctx.workload("perl").unwrap();
+        let extended = ctx.point(perl, ReleasePolicy::Extended, 48, 48);
+        let basic = ctx.point(perl, ReleasePolicy::Basic, 48, 48);
+        assert!(results.get(&extended).is_some_and(|r| r.ipc() > 0.0));
+        assert!(results.get(&basic).is_none());
+        let results = results.collect(&plan);
         assert!(results.iter().all(|r| r.stats.committed > 1_000));
         assert!(results.windows(2).all(|w| w[0].point < w[1].point));
-        assert!(ipc_of(&results, "perl", ReleasePolicy::Extended, 48).is_some());
-        assert!(ipc_of(&results, "perl", ReleasePolicy::Basic, 48).is_none());
     }
 
     #[test]
     fn sweep_ordering_is_deterministic_across_thread_counts() {
-        // Shuffle the points (reversed + interleaved), run with different
+        // Shuffle the points (reversed + duplicated), run with different
         // worker counts, and demand the exact same point-sorted output every
         // time — the regression guard for deterministic sweep ordering.
         // Every registered policy runs (the oracle included), so concurrent
         // workers race on the process-wide memos — decoded trace, kill plan
         // and front-end table — and full `SimStats` must still agree.
-        let workloads = earlyreg_workloads::suite(Scale::Smoke);
-        let subset: Vec<Workload> = workloads
-            .into_iter()
-            .filter(|w| w.name() == "compress" || w.name() == "mgrid")
-            .collect();
         let policies: Vec<ReleasePolicy> = earlyreg_core::registry::registered().collect();
         assert!(policies.contains(&ReleasePolicy::Oracle));
-        let mut points = cross_points(&subset, &policies, &[48, 40]);
-        points.reverse();
-        // Duplicates must collapse instead of being simulated twice.
-        let mut with_dupes = points.clone();
-        with_dupes.extend(points.iter().copied());
 
         let mut reference: Option<Vec<(RunPoint, SimStats)>> = None;
         for threads in [1, 2, 5] {
-            let options = ExperimentOptions {
-                scale: Scale::Smoke,
-                threads,
-                max_instructions: 10_000,
-            };
-            let results = run_sweep(&options, with_dupes.clone());
+            let ctx = smoke_ctx(threads, 10_000, "compress, mgrid");
+            let mut points = ctx.cross(&policies, &[48, 40]);
+            points.reverse();
+            // Duplicates must collapse instead of being simulated twice.
+            let mut with_dupes = points.clone();
+            with_dupes.extend(points.iter().cloned());
+
+            let results = simulate(&ctx, &with_dupes);
             assert_eq!(results.len(), points.len(), "duplicates must be dropped");
-            let mut sorted = results.iter().map(|r| r.point).collect::<Vec<_>>();
-            sorted.sort_unstable();
-            assert_eq!(
-                results.iter().map(|r| r.point).collect::<Vec<_>>(),
-                sorted,
-                "results must come back point-sorted"
+            let unique = dedup_plan(with_dupes);
+            assert_eq!(unique.len(), points.len());
+            assert!(
+                unique.windows(2).all(|w| w[0].point < w[1].point),
+                "the plan must come back point-sorted"
             );
-            let key: Vec<(RunPoint, SimStats)> =
-                results.iter().map(|r| (r.point, r.stats.clone())).collect();
+            let key: Vec<(RunPoint, SimStats)> = results
+                .collect(&unique)
+                .into_iter()
+                .map(|r| (r.point, r.stats))
+                .collect();
             match &reference {
                 None => reference = Some(key),
                 Some(expected) => assert_eq!(&key, expected, "threads={threads}"),

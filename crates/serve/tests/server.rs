@@ -295,6 +295,25 @@ fn oversized_body_receives_a_413() {
     server.stop();
 }
 
+/// A body nested far past the JSON parser's depth bound (but under
+/// `MAX_BODY_BYTES`) is a 400, and the server keeps answering afterwards —
+/// an unbounded recursive parser would overflow the stack and abort it.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    let server = start(test_config(None)).expect("bind");
+    let nested = "[".repeat(500_000);
+    let reply = request(server.addr, "POST", "/points", &nested);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("nesting deeper than"), "{}", reply.body);
+    let health = request(server.addr, "GET", "/healthz", "");
+    assert_eq!(health.status, 200);
+    assert_eq!(
+        health.json().get("status").and_then(Value::as_str),
+        Some("ok")
+    );
+    server.stop();
+}
+
 /// `Expect: 100-continue` clients (curl with >1 KiB bodies) receive the
 /// interim response instead of stalling out their expect timeout.
 #[test]

@@ -20,7 +20,6 @@
 //! * [`replay`] — decode-once trace replay: memoized [`DecodedTrace`]
 //!   capture and the fetch-side cursor that lets sweeps skip re-decode and
 //!   re-emulation while keeping statistics bit-identical;
-//! * [`profile`] — feature-gated per-phase scope timers for the hot loop;
 //! * [`verify`] — golden-model comparison against the architectural emulator;
 //! * [`stats`] — IPC, occupancy, predictor/cache/release statistics.
 //!
@@ -33,7 +32,6 @@ pub mod frontend;
 pub mod fu;
 pub mod lsq;
 pub mod pipeline;
-pub mod profile;
 pub mod replay;
 pub mod rob;
 pub mod stats;

@@ -55,7 +55,6 @@ use crate::frontend::{
 };
 use crate::fu::FuPool;
 use crate::lsq::{ForwardResult, LoadStoreQueue};
-use crate::profile::prof;
 use crate::replay::ReplayCursor;
 use crate::rob::{InstrState, ReorderBuffer, RobEntry};
 use crate::stats::SimStats;
@@ -482,27 +481,12 @@ impl Simulator {
     /// Simulate a single cycle.
     pub fn step(&mut self) {
         self.fus.next_cycle();
-        {
-            let _t = prof::scope(prof::Phase::Commit);
-            self.stage_commit();
-        }
+        self.stage_commit();
         if !self.halted {
-            {
-                let _t = prof::scope(prof::Phase::Writeback);
-                self.stage_writeback();
-            }
-            {
-                let _t = prof::scope(prof::Phase::Issue);
-                self.stage_issue();
-            }
-            {
-                let _t = prof::scope(prof::Phase::Rename);
-                self.stage_rename();
-            }
-            {
-                let _t = prof::scope(prof::Phase::Fetch);
-                self.stage_fetch();
-            }
+            self.stage_writeback();
+            self.stage_issue();
+            self.stage_rename();
+            self.stage_fetch();
         }
         self.cycle += 1;
         self.stats.cycles = self.cycle;

@@ -90,37 +90,10 @@ pub fn suite(scale: Scale) -> Vec<Workload> {
         .collect()
 }
 
-/// The full suite at `scale`, built once per process and shared.
-///
-/// Sweep infrastructure should prefer this over [`suite`]: beyond skipping
-/// program generation, the *shared `Arc<Program>` identities* are what the
-/// per-program memoization caches key on (decoded traces, kill plans,
-/// front-end tables), so repeated sweeps at one scale reuse those instead of
-/// re-deriving them for fresh program instances.
-pub fn shared_suite(scale: Scale) -> Arc<Vec<Workload>> {
-    use std::sync::Mutex;
-    static CACHE: Mutex<Vec<(Scale, Arc<Vec<Workload>>)>> = Mutex::new(Vec::new());
-    let mut cache = CACHE.lock().expect("suite cache poisoned");
-    if let Some((_, cached)) = cache.iter().find(|(s, _)| *s == scale) {
-        return Arc::clone(cached);
-    }
-    let fresh = Arc::new(suite(scale));
-    cache.push((scale, Arc::clone(&fresh)));
-    fresh
-}
-
 /// Build a single named workload (registered id or alias) at the requested
 /// scale.
 pub fn workload_by_name(name: &str, scale: Scale) -> Option<Workload> {
     registry::by_id(name).map(|d| d.instantiate(scale))
-}
-
-/// Build a single named workload sized so that its dynamic instruction count
-/// is approximately `target_instructions` (instead of one of the three
-/// [`Scale`] presets).  Used by the simulator-throughput benchmark, which
-/// needs a fixed, large instruction budget independent of the preset scales.
-pub fn workload_with_target_instructions(name: &str, target_instructions: u64) -> Option<Workload> {
-    registry::by_id(name).map(|d| d.instantiate_with_target(target_instructions))
 }
 
 #[cfg(test)]
