@@ -15,13 +15,13 @@
 //! 1. **Panic** — the simulator panicked (e.g. the free list rejecting a
 //!    double release).  Caught with `catch_unwind` and converted into a
 //!    violation so the fuzzer can minimize it like any other failure.
-//! 2. **Invariant** — [`RenameUnit::check_invariants`] failed: a register
+//! 2. **Invariant** — [`RenameUnit::check_invariants`](earlyreg_core::RenameUnit::check_invariants) failed: a register
 //!    leaked or was double-freed, the front map names a freed register
 //!    without a stale flag, occupancy counters drifted, or the scheme's own
 //!    `check_invariants` rejected its state.
 //! 3. **CheckpointCoherence** — a branch checkpoint holds a mapping to a
 //!    freed register without the skip-release flag that makes restoring it
-//!    safe ([`RenameUnit::check_checkpoint_coherence`]).
+//!    safe ([`RenameUnit::check_checkpoint_coherence`](earlyreg_core::RenameUnit::check_checkpoint_coherence)).
 //! 4. **CommitStream** — the simulator committed more instructions than the
 //!    architectural execution contains (it ran past the halt, or committed a
 //!    squashed path).
@@ -85,9 +85,9 @@ impl CheckConfig {
 pub enum Violation {
     /// The simulator panicked (free-list double release, hook assertion, ...).
     Panic(String),
-    /// [`RenameUnit::check_invariants`] failed at `cycle`.
+    /// [`RenameUnit::check_invariants`](earlyreg_core::RenameUnit::check_invariants) failed at `cycle`.
     Invariant { cycle: u64, detail: String },
-    /// [`RenameUnit::check_checkpoint_coherence`] failed at `cycle`.
+    /// [`RenameUnit::check_checkpoint_coherence`](earlyreg_core::RenameUnit::check_checkpoint_coherence) failed at `cycle`.
     CheckpointCoherence { cycle: u64, detail: String },
     /// The simulator committed past the architectural execution.
     CommitStream { cycle: u64, committed: u64 },

@@ -15,7 +15,7 @@
 //! * [`harness`] — per-cycle lockstep of the cycle-level simulator against
 //!   the architectural emulator, plus the rename unit's structural and
 //!   checkpoint-coherence probes, producing a typed [`harness::Violation`].
-//! * [`minimize`] — ddmin-style shrinking of failing recipes to minimal
+//! * [`minimize`](mod@minimize) — ddmin-style shrinking of failing recipes to minimal
 //!   reproducers.
 //! * [`fixture`] — minimized reproducers as JSON regression fixtures,
 //!   replayed in CI against every registered policy.

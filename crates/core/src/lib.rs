@@ -14,10 +14,10 @@
 //! * [`release_queue`] — the Release Queue of the extended mechanism
 //!   (Section 4, Figures 7–8);
 //! * [`regstate`] — exact Empty/Ready/Idle occupancy accounting (Figures 2–3);
-//! * [`rename`] — the [`RenameUnit`](rename::RenameUnit) driving all of the
-//!   above, including branch-misprediction and precise-exception recovery;
-//! * [`scheme`] — the open release-scheme layer: the
-//!   [`ReleaseScheme`](scheme::ReleaseScheme) trait every policy implements;
+//! * [`rename`] — the [`RenameUnit`] driving all of the above, including
+//!   branch-misprediction and precise-exception recovery;
+//! * [`scheme`] — the open release-scheme layer: the [`ReleaseScheme`] trait
+//!   every policy implements;
 //! * [`schemes`] — the built-in schemes (the paper's three plus the oracle
 //!   upper bound and a counter-based conservative scheme);
 //! * [`registry`] — the string-keyed policy registry every layer above

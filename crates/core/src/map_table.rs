@@ -143,27 +143,15 @@ impl MapTable {
 
     /// Find the logical register currently mapped to `phys`, if any.
     ///
-    /// Returns the lowest-indexed match; use [`MapTable::find_logical_all`]
-    /// where duplicates matter (a freed-but-still-mapped register can be
-    /// reallocated while one or more stale mappings to it remain, so several
-    /// logical registers may name the same physical register).
+    /// Returns the lowest-indexed match.  Duplicates are legal (a
+    /// freed-but-still-mapped register can be reallocated while one or more
+    /// stale mappings to it remain, so several logical registers may name
+    /// the same physical register).
     pub fn find_logical(&self, phys: PhysReg) -> Option<ArchReg> {
         self.map
             .iter()
             .position(|&p| p == phys)
             .map(|i| ArchReg::new(self.class, i))
-    }
-
-    /// Every logical register currently mapped to `phys`.  Stale dead-value
-    /// mappings make duplicates legal: when an early-released register is
-    /// reallocated, the stale mapping (flagged skip-release) and the new
-    /// live mapping coexist until the stale one is redefined.
-    pub fn find_logical_all(&self, phys: PhysReg) -> impl Iterator<Item = ArchReg> + '_ {
-        self.map
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &p)| p == phys)
-            .map(move |(i, _)| ArchReg::new(self.class, i))
     }
 
     /// Iterate over `(logical, physical)` pairs.

@@ -4,9 +4,8 @@
 //! machinery for both register classes — free lists, speculative and
 //! in-order map tables, the rename-side reorder-structure book, per-branch
 //! map checkpoints, occupancy and release accounting — and delegates every
-//! release *decision* to a pluggable
-//! [`ReleaseScheme`](crate::scheme::ReleaseScheme) built from the policy
-//! [registry](crate::registry):
+//! release *decision* to a pluggable [`ReleaseScheme`] built from the
+//! policy [registry]:
 //!
 //! * **Conventional** (Section 2): a redefinition allocates a new physical
 //!   register and the previous version (`old_pd`) is released when the
@@ -1003,11 +1002,6 @@ impl RenameUnit {
     // recovery map coherence) are `debug_assertions`-gated below and vanish
     // entirely from release builds.
 
-    /// True when `phys` is currently on the free list of `class`.
-    pub fn free_list_contains(&self, class: RegClass, phys: PhysReg) -> bool {
-        self.bank(class).free.contains(phys)
-    }
-
     /// The in-flight (renamed, not yet committed or squashed) entries,
     /// oldest first — every operand/destination physical register the
     /// rename-side book still references.
@@ -1018,12 +1012,6 @@ impl RenameUnit {
     /// Ids of the branches with a live engine checkpoint, oldest first.
     pub fn checkpointed_branches(&self) -> impl Iterator<Item = InstrId> + '_ {
         self.checkpoints.iter().map(|c| c.branch_id)
-    }
-
-    /// True when the current speculative mapping of `reg` is stale (already
-    /// released) and must not be released or reused by its next redefinition.
-    pub fn skip_release_flagged(&self, reg: ArchReg) -> bool {
-        self.bank(reg.class()).skip_release[reg.index()]
     }
 
     /// Checkpoint-coherence probe: every *checkpointed* map entry that names

@@ -363,33 +363,6 @@ impl KillPlan {
         Ok(KillPlan { kills })
     }
 
-    /// Build the plan from a [`DecodedTrace`](earlyreg_isa::DecodedTrace)
-    /// captured to halt.  The trace records the same commit-ordered kill
-    /// events [`KillPlan::for_program`] derives, so sweeps that replay a
-    /// shared trace pay **one** emulator pass per program for both the
-    /// replay front-end and oracle-style schemes.  Fails on a budget-capped
-    /// trace — an oracle needs the complete future.
-    pub fn from_trace(trace: &earlyreg_isa::DecodedTrace) -> Result<KillPlan, String> {
-        if !trace.halted() {
-            return Err(
-                "decoded trace does not cover the complete execution; the oracle \
-                 release scheme needs the complete committed trace"
-                    .into(),
-            );
-        }
-        let kills = trace
-            .kill_events()
-            .iter()
-            .map(|e| Kill {
-                pos: e.pos,
-                reg: e.reg.index() as u8,
-                fp: e.reg.class() == RegClass::Fp,
-                own_def: e.own_def,
-            })
-            .collect();
-        Ok(KillPlan { kills })
-    }
-
     /// Total release events in the plan.
     pub fn len(&self) -> usize {
         self.kills.len()
@@ -430,5 +403,64 @@ impl Kill {
     /// See [`Kill::own_def`].
     pub(crate) fn own_def(&self) -> bool {
         self.own_def
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use earlyreg_isa::{BranchCond, ProgramBuilder};
+
+    fn loop_program(n: i64) -> Program {
+        let mut b = ProgramBuilder::new("kill-plan-loop");
+        let i = ArchReg::int(1);
+        let acc = ArchReg::int(2);
+        let base = ArchReg::int(3);
+        let dead = ArchReg::fp(4);
+        b.li(i, n);
+        b.li(acc, 0);
+        b.li(base, 0);
+        let top = b.here();
+        b.add(acc, acc, i);
+        b.addi(i, i, -1);
+        b.fli(dead, 1.0);
+        b.branch(BranchCond::Gt, i, None, top);
+        b.store_int(base, 0, acc);
+        b.load_int(i, base, 0);
+        b.halt();
+        b.build().unwrap()
+    }
+
+    /// The committed stream the plan must cover: the instruction of each
+    /// emulator step, in order.
+    fn committed(program: &Program) -> Vec<earlyreg_isa::Instruction> {
+        let mut emu = Emulator::new(program);
+        let mut stream = Vec::new();
+        while !emu.halted() {
+            stream.push(*program.fetch(emu.pc()).unwrap());
+            emu.step().unwrap();
+        }
+        stream
+    }
+
+    #[test]
+    fn kill_plan_is_commit_ordered_and_complete() {
+        let program = loop_program(3);
+        let plan = KillPlan::for_program(&program).unwrap();
+        let stream = committed(&program);
+        assert!(!plan.is_empty());
+        assert!(plan.kills.windows(2).all(|w| w[0].pos <= w[1].pos));
+        assert!(plan.kills.iter().all(|k| (k.pos as usize) < stream.len()));
+        // Every redefinition in the committed stream produced one event.
+        let redefs = stream.iter().filter(|instr| instr.dst.is_some()).count();
+        assert_eq!(plan.len(), redefs);
+        // A version that is never read dies at its own definition.
+        for kill in plan.kills.iter().filter(|k| k.own_def()) {
+            assert_eq!(stream[kill.pos as usize].dst, Some(kill.reg()));
+        }
+        assert!(plan
+            .kills
+            .iter()
+            .any(|k| k.own_def() && k.reg() == ArchReg::fp(4)));
     }
 }

@@ -12,7 +12,7 @@
 //!   release.
 //!
 //! The LUs Table is checkpointed per branch and `C` bits are updated in
-//! every copy at commit; both live in [`LusState`].
+//! every copy at commit; both live in `LusState`.
 
 use super::lus::LusState;
 use crate::ros::RosEntry;

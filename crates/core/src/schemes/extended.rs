@@ -4,7 +4,7 @@
 //! [`ReleaseQueue`] — cancelled by mispredictions, performed at last-use
 //! commit / oldest-branch confirmation otherwise.  Everything the basic
 //! scheme does (Last-Uses Table, retimed and immediate releases, reuse)
-//! carries over through the shared [`LusState`] planning core.
+//! carries over through the shared `LusState` planning core.
 
 use super::basic::plan_with_lus;
 use super::lus::LusState;

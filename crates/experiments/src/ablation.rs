@@ -11,7 +11,7 @@
 //!    mechanism versus the basic mechanism's fallback to conventional release
 //!    under speculation — this isolates the contribution of Section 4.
 //!
-//! Each variant plans its points with an explicit [`MachineConfig`] through
+//! Each variant plans its points with an explicit [`MachineConfig`](earlyreg_sim::MachineConfig) through
 //! the shared engine, so the planner dedups the unchanged baseline variants
 //! against other experiments (the plain `conventional`/`basic`/`extended`
 //! rows at 48 registers are exactly Figure 10's points) and the variants run

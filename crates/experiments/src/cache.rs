@@ -7,7 +7,7 @@
 //! those inputs:
 //!
 //! * the [`RunPoint`] coordinates,
-//! * the full [`MachineConfig`] (canonical JSON, so *any* config change —
+//! * the full [`MachineConfig`](earlyreg_sim::MachineConfig) (canonical JSON, so *any* config change —
 //!   scenario overrides, ablation knobs, Table 2 edits — changes the key),
 //! * a fingerprint of the generated workload program (which covers the
 //!   workload generator's seed, scale and code), and

@@ -32,14 +32,6 @@ impl Default for ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// Options for the given scale with defaults for everything else.
-    pub fn with_scale(scale: Scale) -> Self {
-        ExperimentOptions {
-            scale,
-            ..Default::default()
-        }
-    }
-
     /// Parse one scale name.
     pub fn parse_scale(value: &str) -> Result<Scale, String> {
         match value {

@@ -12,13 +12,13 @@ use serde::{Deserialize, Serialize};
 pub struct Fig09Row {
     /// Registers in the file.
     pub registers: usize,
-    /// Integer-file access time [ns].
+    /// Integer-file access time (ns).
     pub int_time_ns: f64,
-    /// FP-file access time [ns].
+    /// FP-file access time (ns).
     pub fp_time_ns: f64,
-    /// Integer-file energy [pJ].
+    /// Integer-file energy (pJ).
     pub int_energy_pj: f64,
-    /// FP-file energy [pJ].
+    /// FP-file energy (pJ).
     pub fp_energy_pj: f64,
 }
 
@@ -27,9 +27,9 @@ pub struct Fig09Row {
 pub struct Fig09Result {
     /// Register-file samples (40–160 in steps of 8).
     pub rows: Vec<Fig09Row>,
-    /// LUs Table access time [ns] (paper: 0.98 ns).
+    /// LUs Table access time (ns) (paper: 0.98 ns).
     pub lus_time_ns: f64,
-    /// LUs Table energy [pJ] (paper: 193.2 pJ).
+    /// LUs Table energy (pJ) (paper: 193.2 pJ).
     pub lus_energy_pj: f64,
 }
 

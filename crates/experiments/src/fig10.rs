@@ -1,7 +1,7 @@
 //! Figure 10 — per-benchmark IPC for a very tight 48int + 48FP register file
 //! under the compared release policies, plus the per-group harmonic means.
 //!
-//! The compared set comes from the scenario ([`Scenario::policies`]); the
+//! The compared set comes from the scenario ([`Scenario::policies`](crate::Scenario::policies)); the
 //! default is the paper's canonical three (conventional / basic / extended),
 //! and any registered scheme — `oracle`, `counter`, future ones — joins the
 //! table via `policies = ...` with no code change here.

@@ -16,7 +16,7 @@ pub struct Sec44Result {
     /// Energy of the conventional 64int + 79fp configuration versus the
     /// early-release 56int + 72fp + 2 LUs Tables configuration.
     pub balance: EnergyBalance,
-    /// LUs Table energy [pJ].
+    /// LUs Table energy (pJ).
     pub lus_energy_pj: f64,
     /// Storage cost of the extended mechanism on the Alpha-21264 example.
     pub storage: StorageEstimate,

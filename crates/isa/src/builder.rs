@@ -99,11 +99,6 @@ impl ProgramBuilder {
         l
     }
 
-    /// Index the next emitted instruction will receive.
-    pub fn next_index(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// Emit a raw instruction.
     pub fn push(&mut self, instr: Instruction) -> usize {
         self.instrs.push(instr);

@@ -1,55 +1,35 @@
-//! Decode-once execution traces.
+//! Decode-once execution traces for the simulator's replay front-end.
 //!
 //! Every figure of the paper sweeps the *same* program across many
 //! (policy, machine-config) points.  The committed instruction stream of the
 //! out-of-order simulator is identical for all of them — wrong paths are
 //! squashed, precise exceptions re-execute from the faulting instruction —
-//! so everything the architectural emulator computes (branch directions,
-//! effective addresses, result values, register kill positions) can be
-//! captured **once per program** and replayed by every point of a sweep.
+//! so the outcomes the architectural emulator computes (branch directions,
+//! effective addresses, result values) can be captured **once per program**
+//! and replayed by every point of a sweep.
 //!
 //! [`DecodedTrace`] is that capture: one emulator pass recorded as
 //! struct-of-arrays columns indexed by *committed position* (emulator step
-//! `k` is simulator commit position `k`).  The replay front-end in
-//! `earlyreg-sim` walks a cursor through it during fetch, tags each
-//! correct-path instruction with its trace index, and the execute stage reads
-//! outcomes from the columns instead of recomputing them.  Wrong-path
-//! instructions (fetched past a branch whose prediction disagrees with the
-//! recorded direction) are executed live, exactly as without a trace, so
-//! simulated timing and statistics are bit-identical either way.
+//! `k` is simulator commit position `k`), holding exactly the columns replay
+//! reads.  The replay front-end in `earlyreg-sim` walks a cursor through it
+//! during fetch, tags each correct-path instruction with its trace index,
+//! and the execute stage reads outcomes from the columns instead of
+//! recomputing them.  Wrong-path instructions (fetched past a branch whose
+//! prediction disagrees with the recorded direction) are executed live,
+//! exactly as without a trace, so simulated timing and statistics are
+//! bit-identical either way.
 //!
-//! The trace also records the per-instruction register **kill events** (which
-//! logical-register version sees its true last use at each commit position) —
-//! the same future knowledge the oracle release scheme derives — so one
-//! emulator pass serves both the replay front-end and oracle-style schemes.
-//!
-//! Traces are identified by a content [`fingerprint`](DecodedTrace::fingerprint)
-//! over all columns.  Because a trace is a pure function of (program,
-//! capture budget), the experiment cache's `CacheKey` — which already hashes
-//! the canonical program and the instruction budget — subsumes it; replay
-//! needs no cache-version bump precisely because it is bit-identical.
+//! A trace is a pure function of (program, capture budget), so the
+//! experiment cache's `CacheKey` — which already hashes the canonical
+//! program and the instruction budget — subsumes it; replay needs no
+//! cache-version bump precisely because it is bit-identical.
 
 use crate::program::Program;
-use crate::reg::{ArchReg, RegClass};
 use crate::Emulator;
 
 /// Sentinel trace index for instructions not covered by a trace (wrong-path
 /// fetches, or correct-path fetches past the capture budget).
 pub const NO_TRACE: u32 = u32::MAX;
-
-/// One register kill event: at committed position `pos`, the live version of
-/// logical register `reg` sees its true last use.  Mirrors (and feeds) the
-/// oracle scheme's commit-ordered kill plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillEvent {
-    /// Commit position (index into the committed instruction stream).
-    pub pos: u32,
-    /// The logical register whose live version dies.
-    pub reg: ArchReg,
-    /// True when the dying version is the one *defined at* `pos` (a value
-    /// that is never read); false when `pos` is its last read.
-    pub own_def: bool,
-}
 
 /// A decoded, fully resolved execution trace of one program — see the module
 /// documentation.  Columns are parallel arrays indexed by committed position.
@@ -57,8 +37,6 @@ pub struct KillEvent {
 pub struct DecodedTrace {
     /// Static instruction index of each committed instruction.
     pcs: Vec<u32>,
-    /// The next committed PC (branch directions and jump targets resolved).
-    next_pcs: Vec<u32>,
     /// Outcome payload: destination value bits for value-producing
     /// instructions, stored bits for stores, 0 otherwise.
     payloads: Vec<u64>,
@@ -67,13 +45,9 @@ pub struct DecodedTrace {
     /// Resolved conditional-branch directions, one bit per position (false
     /// for everything that is not a conditional branch).
     taken_bits: Vec<u64>,
-    /// Register kill events, sorted by commit position (stable).
-    kills: Vec<KillEvent>,
     /// True when the capture reached the program's `Halt` (the trace covers
     /// the complete execution); false when the step budget ran out first.
     halted: bool,
-    /// Content fingerprint over all columns.
-    fingerprint: u64,
 }
 
 impl DecodedTrace {
@@ -91,65 +65,20 @@ impl DecodedTrace {
         let cap = max_steps.min(NO_TRACE as u64 - 1) as usize;
         let mut trace = DecodedTrace {
             pcs: Vec::with_capacity(cap.min(1 << 20)),
-            next_pcs: Vec::with_capacity(cap.min(1 << 20)),
             payloads: Vec::with_capacity(cap.min(1 << 20)),
             mem_addrs: Vec::with_capacity(cap.min(1 << 20)),
             taken_bits: Vec::new(),
-            kills: Vec::new(),
             halted: false,
-            fingerprint: 0,
         };
-
-        // Per logical-register version: position of the live definition
-        // (-1 = initial mapping) and its last read, if any — the same
-        // last-use bookkeeping the oracle kill plan performs.
-        #[derive(Clone, Copy)]
-        struct VersionState {
-            def: i64,
-            last_read: Option<u32>,
-        }
-        let reset = VersionState {
-            def: -1,
-            last_read: None,
-        };
-        let mut versions: [Vec<VersionState>; 2] = [
-            vec![reset; RegClass::Int.num_logical()],
-            vec![reset; RegClass::Fp.num_logical()],
-        ];
 
         let mut emu = Emulator::new(program);
         for pos in 0..cap {
             if emu.halted() {
                 break;
             }
-            let pos = pos as u32;
             let Some(instr) = program.fetch(emu.pc()).copied() else {
                 break;
             };
-
-            // Kill bookkeeping (reads before the definition: an instruction
-            // reading its own destination reads the previous version).
-            for src in [instr.src1, instr.src2].into_iter().flatten() {
-                versions[src.class().index()][src.index()].last_read = Some(pos);
-            }
-            if let Some(dst) = instr.dst {
-                let slot = &mut versions[dst.class().index()][dst.index()];
-                let (kill_pos, own_def) = match (slot.def, slot.last_read) {
-                    (_, Some(read)) => (read, false),
-                    (def, None) if def >= 0 => (def as u32, true),
-                    (_, None) => (0, false),
-                };
-                trace.kills.push(KillEvent {
-                    pos: kill_pos,
-                    reg: dst,
-                    own_def,
-                });
-                *slot = VersionState {
-                    def: i64::from(pos),
-                    last_read: None,
-                };
-            }
-
             let Some(outcome) = emu.step() else {
                 break;
             };
@@ -162,14 +91,13 @@ impl DecodedTrace {
                 0
             };
             if outcome.branch_taken == Some(true) {
-                let word = pos as usize / 64;
+                let word = pos / 64;
                 if word >= trace.taken_bits.len() {
                     trace.taken_bits.resize(word + 1, 0);
                 }
                 trace.taken_bits[word] |= 1u64 << (pos % 64);
             }
             trace.pcs.push(outcome.pc as u32);
-            trace.next_pcs.push(outcome.next_pc as u32);
             trace.payloads.push(payload);
             trace
                 .mem_addrs
@@ -180,15 +108,6 @@ impl DecodedTrace {
         }
         trace.halted = emu.halted();
         trace.taken_bits.resize(trace.pcs.len().div_ceil(64), 0);
-        // Kills are discovered at redefinition time; replay them in commit
-        // order (stable, so same-position events keep discovery order).
-        // Events discovered past the capture end are dropped: an unfinished
-        // trace has no complete future and [`DecodedTrace::kill_events`]
-        // callers must check [`DecodedTrace::halted`] anyway.
-        let len = trace.pcs.len() as u32;
-        trace.kills.retain(|k| k.pos < len.max(1));
-        trace.kills.sort_by_key(|k| k.pos);
-        trace.fingerprint = trace.compute_fingerprint();
         trace
     }
 
@@ -203,7 +122,7 @@ impl DecodedTrace {
     }
 
     /// True when the capture reached the program's `Halt` — the trace covers
-    /// the complete execution and the kill events are the complete future.
+    /// the complete execution.
     pub fn halted(&self) -> bool {
         self.halted
     }
@@ -212,12 +131,6 @@ impl DecodedTrace {
     #[inline]
     pub fn pc(&self, i: usize) -> usize {
         self.pcs[i] as usize
-    }
-
-    /// Next committed PC after position `i`.
-    #[inline]
-    pub fn next_pc(&self, i: usize) -> usize {
-        self.next_pcs[i] as usize
     }
 
     /// Resolved direction of the conditional branch at position `i` (false
@@ -242,57 +155,14 @@ impl DecodedTrace {
             a => Some(a as usize),
         }
     }
-
-    /// The register kill events, sorted by commit position.  Only a halted
-    /// trace carries the *complete* future an oracle needs.
-    pub fn kill_events(&self) -> &[KillEvent] {
-        &self.kills
-    }
-
-    /// Content fingerprint over every column (FNV-1a), computed at capture.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Approximate resident size in bytes (for capacity planning and the
-    /// benchmark report).
-    pub fn memory_bytes(&self) -> usize {
-        self.pcs.len() * (4 + 4 + 8 + 4)
-            + self.taken_bits.len() * 8
-            + self.kills.len() * std::mem::size_of::<KillEvent>()
-    }
-
-    fn compute_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        mix(self.pcs.len() as u64);
-        mix(self.halted as u64);
-        for i in 0..self.pcs.len() {
-            mix(u64::from(self.pcs[i]));
-            mix(u64::from(self.next_pcs[i]));
-            mix(self.payloads[i]);
-            mix(u64::from(self.mem_addrs[i]));
-        }
-        for &w in &self.taken_bits {
-            mix(w);
-        }
-        for k in &self.kills {
-            mix(u64::from(k.pos));
-            mix(k.reg.index() as u64 ^ ((k.reg.class() == RegClass::Fp) as u64) << 8);
-            mix(k.own_def as u64);
-        }
-        h
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
-    use crate::instr::BranchCond;
+    use crate::instr::{BranchCond, Opcode};
+    use crate::reg::ArchReg;
 
     fn loop_program(n: i64) -> Program {
         let mut b = ProgramBuilder::new("trace-loop");
@@ -319,10 +189,7 @@ mod tests {
         assert!(trace.halted());
         // 3 li + 5*(add,addi,branch) + store + load + halt = 21.
         assert_eq!(trace.len(), 21);
-        // Every position chains: next_pc(i) == pc(i+1).
-        for i in 0..trace.len() - 1 {
-            assert_eq!(trace.next_pc(i), trace.pc(i + 1), "position {i}");
-        }
+        assert_eq!(p.instrs[trace.pc(trace.len() - 1)].op, Opcode::Halt);
         // The loop branch is taken 4 times, not taken once.
         let taken: usize = (0..trace.len()).filter(|&i| trace.taken(i)).count();
         assert_eq!(taken, 4);
@@ -345,36 +212,9 @@ mod tests {
         assert_eq!(partial.len(), 10);
         for i in 0..partial.len() {
             assert_eq!(partial.pc(i), full.pc(i));
-            assert_eq!(partial.next_pc(i), full.next_pc(i));
             assert_eq!(partial.payload(i), full.payload(i));
             assert_eq!(partial.mem_addr(i), full.mem_addr(i));
             assert_eq!(partial.taken(i), full.taken(i));
         }
-        assert_ne!(partial.fingerprint(), full.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_content_sensitive() {
-        let p = loop_program(7);
-        let a = DecodedTrace::capture(&p, 1 << 20);
-        let b = DecodedTrace::capture(&p, 1 << 20);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let other = DecodedTrace::capture(&loop_program(8), 1 << 20);
-        assert_ne!(a.fingerprint(), other.fingerprint());
-    }
-
-    #[test]
-    fn kill_events_are_commit_ordered_and_complete() {
-        let p = loop_program(3);
-        let trace = DecodedTrace::capture(&p, 1 << 20);
-        assert!(trace.halted());
-        let kills = trace.kill_events();
-        assert!(!kills.is_empty());
-        assert!(kills.windows(2).all(|w| w[0].pos <= w[1].pos));
-        // Every redefinition in the committed stream produced one event.
-        let redefs = (0..trace.len())
-            .filter(|&i| p.instrs[trace.pc(i)].dst.is_some())
-            .count();
-        assert_eq!(kills.len(), redefs);
     }
 }

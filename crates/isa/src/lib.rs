@@ -16,9 +16,8 @@
 //! * shared **operational semantics** used both by the architectural emulator
 //!   and by the cycle-level simulator's execute stage, so the two can never
 //!   drift apart ([`semantics`]),
-//! * a [`Program`](program::Program) container plus a structured
-//!   [`ProgramBuilder`](builder::ProgramBuilder) used by the synthetic SPEC95
-//!   analogues in `earlyreg-workloads`,
+//! * a [`Program`] container plus a structured [`ProgramBuilder`] used by the
+//!   synthetic SPEC95 analogues in `earlyreg-workloads`,
 //! * a text **assembler/loader** ([`assembler`]) — labels, branches,
 //!   loads/stores, data directives and an argument-passing convention — so
 //!   real kernels ship as `.asm` files and register as workloads,
@@ -39,11 +38,10 @@ pub mod instr;
 pub mod program;
 pub mod reg;
 pub mod semantics;
-pub mod trace;
 
 pub use assembler::{assemble, assemble_program, ArgSpec, AsmError, Assembly};
 pub use builder::{Label, ProgramBuilder};
-pub use decoded::{DecodedTrace, KillEvent, NO_TRACE};
+pub use decoded::{DecodedTrace, NO_TRACE};
 pub use emulator::{ArchState, EmulationResult, Emulator, StepOutcome};
 pub use instr::{BranchCond, FuClass, Instruction, Opcode};
 pub use program::{Program, ProgramError};

@@ -17,7 +17,7 @@
 
 use crate::geometry::RfGeometry;
 
-/// Fixed decode + sense-amplifier latency [ns].
+/// Fixed decode + sense-amplifier latency (ns).
 pub const T0_NS: f64 = 0.746;
 /// Wordline RC per bit of word width [ns/bit] (before port growth).
 pub const KW_NS_PER_BIT: f64 = 0.00321;

@@ -17,7 +17,7 @@
 use crate::geometry::RfGeometry;
 use serde::{Deserialize, Serialize};
 
-/// Energy per bit, per port, per row [pJ].
+/// Energy per bit, per port, per row (pJ).
 pub const KE_PJ: f64 = 0.0086;
 /// Fixed decoder/driver overhead expressed in equivalent rows.
 pub const R_OVERHEAD: f64 = 12.58;
@@ -34,10 +34,10 @@ pub fn access_energy_pj(geometry: RfGeometry) -> f64 {
 /// early release with smaller files plus two LUs Tables.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnergyBalance {
-    /// Energy of the conventional configuration [pJ].
+    /// Energy of the conventional configuration (pJ).
     pub conventional_pj: f64,
     /// Energy of the early-release configuration (including the LUs Tables)
-    /// [pJ].
+    /// (pJ).
     pub early_release_pj: f64,
 }
 

@@ -606,20 +606,51 @@ impl PointResolver for Service {
     fn resolve(&self, ctx: &PlanContext, unique: &[PlannedPoint]) -> (ResultSet, ResolveStats) {
         let mut results = ResultSet::default();
         let mut stats = ResolveStats::default();
+        // A point whose flight leader failed goes round the ladder again:
+        // one of its released followers leads the next round, the rest
+        // follow again.  Rounds repeat only while successive leaders fail.
+        let mut pending: Vec<&PlannedPoint> = unique.iter().collect();
+        while !pending.is_empty() {
+            pending = self.resolve_round(ctx, &pending, &mut results, &mut stats);
+        }
+
+        self.coalesced
+            .fetch_add(stats.coalesced as u64, Ordering::Relaxed);
+        self.lru_hits
+            .fetch_add(stats.lru_hits as u64, Ordering::Relaxed);
+        self.peer_hits
+            .fetch_add(stats.peer_hits as u64, Ordering::Relaxed);
+        self.peer_failures
+            .fetch_add(stats.peer_failures as u64, Ordering::Relaxed);
+        (results, stats)
+    }
+}
+
+impl Service {
+    /// One pass of every point down the tier ladder.  Returns the points
+    /// that followed a leader which failed without publishing; they have
+    /// touched neither `results` nor `stats`.
+    fn resolve_round<'p>(
+        &self,
+        ctx: &PlanContext,
+        points: &[&'p PlannedPoint],
+        results: &mut ResultSet,
+        stats: &mut ResolveStats,
+    ) -> Vec<&'p PlannedPoint> {
         let mut leaders = Vec::new();
         let mut followers = Vec::new();
 
-        for planned in unique {
+        for &planned in points {
             let canonical = planned.key.canonical();
             if let Some(hit) = self.chain.memory_get(&canonical) {
                 stats.lru_hits += 1;
-                record(&mut results, planned, hit);
+                record(results, planned, hit);
                 continue;
             }
             if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
                 stats.cache_hits += 1;
                 self.chain.memory_put(&canonical, &cached);
-                record(&mut results, planned, cached);
+                record(results, planned, cached);
                 continue;
             }
             match self.flights.join(canonical) {
@@ -638,7 +669,7 @@ impl PointResolver for Service {
             if let Some(hit) = self.chain.memory_get(&canonical) {
                 stats.lru_hits += 1;
                 leader.publish(hit.clone());
-                record(&mut results, planned, hit);
+                record(results, planned, hit);
                 continue;
             }
             match self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
@@ -646,7 +677,7 @@ impl PointResolver for Service {
                     stats.cache_hits += 1;
                     self.chain.memory_put(&canonical, &cached);
                     leader.publish(cached.clone());
-                    record(&mut results, planned, cached);
+                    record(results, planned, cached);
                 }
                 None => to_resolve.push((planned, leader)),
             }
@@ -695,7 +726,7 @@ impl PointResolver for Service {
                     }
                     self.chain.memory_put(&planned.key.canonical(), &remote);
                     leader.publish(remote.clone());
-                    record(&mut results, planned, remote);
+                    record(results, planned, remote);
                 }
                 None => to_simulate.push((planned, leader)),
             }
@@ -724,108 +755,17 @@ impl PointResolver for Service {
             results.insert(planned.digest, result);
         }
 
+        let mut failed = Vec::new();
         for (planned, follower) in followers {
             match follower.wait() {
                 Some(flown) => {
                     stats.coalesced += 1;
-                    record(&mut results, planned, flown);
+                    record(results, planned, flown);
                 }
-                None => {
-                    // The leading request died; recover without a
-                    // simulate-everywhere herd.
-                    self.resolve_after_failed_leader(ctx, planned, &mut results, &mut stats);
-                }
+                None => failed.push(planned),
             }
         }
-
-        self.coalesced
-            .fetch_add(stats.coalesced as u64, Ordering::Relaxed);
-        self.lru_hits
-            .fetch_add(stats.lru_hits as u64, Ordering::Relaxed);
-        self.peer_hits
-            .fetch_add(stats.peer_hits as u64, Ordering::Relaxed);
-        self.peer_failures
-            .fetch_add(stats.peer_failures as u64, Ordering::Relaxed);
-        (results, stats)
-    }
-}
-
-impl Service {
-    /// Recover one point whose flight leader failed: re-check the memory
-    /// and disk tiers (a racing leader may have landed), then re-join the
-    /// flight — exactly one of the released followers becomes the new
-    /// leader and walks the remaining tiers (peers, then local simulation);
-    /// the rest follow again.  Loops only as long as successive leaders
-    /// keep failing.
-    fn resolve_after_failed_leader(
-        &self,
-        ctx: &PlanContext,
-        planned: &PlannedPoint,
-        results: &mut ResultSet,
-        stats: &mut ResolveStats,
-    ) {
-        loop {
-            let canonical = planned.key.canonical();
-            if let Some(hit) = self.chain.memory_get(&canonical) {
-                stats.lru_hits += 1;
-                record(results, planned, hit);
-                return;
-            }
-            if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
-                stats.cache_hits += 1;
-                self.chain.memory_put(&canonical, &cached);
-                record(results, planned, cached);
-                return;
-            }
-            match self.flights.join(canonical) {
-                Join::Leader(leader) => {
-                    // Same post-join re-check as the batch path: a racing
-                    // leader may have stored between our miss and the join.
-                    if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
-                        stats.cache_hits += 1;
-                        self.chain.memory_put(&planned.key.canonical(), &cached);
-                        leader.publish(cached.clone());
-                        record(results, planned, cached);
-                        return;
-                    }
-                    if self.chain.has_peers() && resolver::peer_eligible(planned) {
-                        let body = resolver::peer_request_body(ctx, planned);
-                        let outcome = self.chain.resolve_remote(planned, &body);
-                        stats.peer_failures += outcome.failures;
-                        stats.breaker_trips += outcome.trips;
-                        stats.breaker_skips += outcome.breaker_skips;
-                        if let Some(remote) = outcome.stats {
-                            stats.peer_hits += 1;
-                            if let Some(cache) = &self.cache {
-                                let _ = cache.store(&planned.key, &remote);
-                            }
-                            self.chain.memory_put(&planned.key.canonical(), &remote);
-                            leader.publish(remote.clone());
-                            record(results, planned, remote);
-                            return;
-                        }
-                    }
-                    let result = engine::simulate_planned(ctx, planned);
-                    self.simulations.fetch_add(1, Ordering::Relaxed);
-                    if let Some(cache) = &self.cache {
-                        let _ = cache.store(&planned.key, &result.stats);
-                    }
-                    self.chain
-                        .memory_put(&planned.key.canonical(), &result.stats);
-                    leader.publish(result.stats.clone());
-                    stats.simulated += 1;
-                    results.insert(planned.digest, result);
-                    return;
-                }
-                Join::Follower(follower) => {
-                    if let Some(flown) = follower.wait() {
-                        stats.coalesced += 1;
-                        record(results, planned, flown);
-                        return;
-                    }
-                }
-            }
-        }
+        failed
     }
 }
 
@@ -861,4 +801,56 @@ fn parse_size(entry: &Value, field: &str) -> Result<usize, String> {
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing or non-integer '{field}'"))?;
     usize::try_from(raw).map_err(|_| format!("'{field}' out of range"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn follower_of_a_failed_leader_resolves_its_point_once() {
+        let service = Service::new(
+            ServiceConfig {
+                cache_dir: None,
+                sim_threads: 1,
+                ..ServiceConfig::default()
+            },
+            Arc::new(AtomicBool::new(false)),
+        );
+        let ctx = PlanContext::new(
+            ExperimentOptions {
+                scale: Scale::Smoke,
+                threads: 1,
+                max_instructions: 2000,
+            },
+            Scenario::table2(),
+        );
+        let workload = ctx.workload("swim").unwrap().clone();
+        let planned = ctx.point(&workload, ReleasePolicy::Extended, 48, 48);
+        let canonical = planned.key.canonical();
+
+        let Join::Leader(leader) = service.flights.join(canonical.clone()) else {
+            panic!("the first joiner leads");
+        };
+        let (results, stats) = std::thread::scope(|scope| {
+            let request = scope.spawn(|| service.resolve(&ctx, std::slice::from_ref(&planned)));
+            while service.flights.followers(&canonical) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(leader); // fails without publishing
+            request.join().unwrap()
+        });
+
+        let expected = engine::simulate_planned(&ctx, &planned).stats;
+        assert_eq!(results.get(&planned).unwrap().stats, expected);
+        assert_eq!(service.simulations(), 1);
+        assert_eq!(stats.simulated, 1);
+        assert_eq!(
+            (stats.coalesced, stats.lru_hits, stats.cache_hits),
+            (0, 0, 0)
+        );
+        assert_eq!((service.coalesced(), service.lru_hits()), (0, 0));
+        assert!(service.flights.is_empty());
+    }
 }

@@ -119,6 +119,15 @@ impl<K: Eq + Hash + Clone, V> SingleFlight<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Callers currently following `key`'s flight (the map and the leader
+    /// hold the other two references).  Tests use it to order threads.
+    #[cfg(test)]
+    pub(crate) fn followers(&self, key: &K) -> usize {
+        lock_recovering(&self.inflight)
+            .get(key)
+            .map_or(0, |flight| Arc::strong_count(flight) - 2)
+    }
 }
 
 impl<K: Eq + Hash + Clone, V> Default for SingleFlight<K, V> {

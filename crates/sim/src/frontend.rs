@@ -12,9 +12,10 @@
 //! cursor, I-cache tags) stays per simulator.
 
 use crate::branch::Prediction;
+use crate::memo::ProgramMemo;
 use earlyreg_isa::{Instruction, Opcode, Program};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
 /// Per-PC fetch classification: not a control transfer.
 pub const FETCH_OTHER: u8 = 0;
@@ -89,30 +90,15 @@ impl FrontEndTable {
 
 /// The shared front-end table for a program, memoized by `Arc` identity and
 /// line size like [`decoded_trace_for`](crate::decoded_trace_for): every
-/// point of a sweep running the same workload gets the same table.  Entries
-/// are dropped when their program is; a racing duplicate build is benign.
+/// point of a sweep running the same workload gets the same table.
 pub fn front_end_table_for(program: &Arc<Program>, line_bytes: u64) -> Arc<FrontEndTable> {
-    type CacheEntry = (Weak<Program>, u64, Arc<FrontEndTable>);
-    static CACHE: Mutex<Vec<CacheEntry>> = Mutex::new(Vec::new());
-
-    let lookup = |cache: &mut Vec<CacheEntry>| {
-        cache.retain(|(weak, _, _)| weak.strong_count() > 0);
-        cache.iter().find_map(|(weak, lb, table)| {
-            let strong = weak.upgrade()?;
-            (Arc::ptr_eq(&strong, program) && *lb == line_bytes).then(|| Arc::clone(table))
-        })
-    };
-
-    if let Some(table) = lookup(&mut CACHE.lock().expect("front-end table cache poisoned")) {
-        return table;
-    }
-    let fresh = Arc::new(FrontEndTable::build(program, line_bytes));
-    let mut cache = CACHE.lock().expect("front-end table cache poisoned");
-    if let Some(table) = lookup(&mut cache) {
-        return table;
-    }
-    cache.push((Arc::downgrade(program), line_bytes, Arc::clone(&fresh)));
-    fresh
+    static TABLES: ProgramMemo<u64, FrontEndTable> = ProgramMemo::new();
+    TABLES.get_or_build(
+        program,
+        line_bytes,
+        |_| true,
+        || FrontEndTable::build(program, line_bytes),
+    )
 }
 
 /// One instruction delivered by the fetch stage.

@@ -31,6 +31,7 @@ pub mod config;
 pub mod frontend;
 pub mod fu;
 pub mod lsq;
+mod memo;
 pub mod pipeline;
 pub mod replay;
 pub mod rob;

@@ -13,8 +13,9 @@
 //! and extended mechanisms (exactly the experiment the paper performs) as
 //! well as the oracle upper bound and any scheme registered later.  The only
 //! policy-aware step here is construction: schemes whose descriptor asks for
-//! a committed-trace kill plan get one derived from the architectural
-//! emulator.
+//! a committed-trace kill plan get the one [`KillPlan::for_program`] derives
+//! from the architectural emulator, memoized per program and shared by live
+//! and replay points.
 //!
 //! Wrong-path instructions are fetched, renamed and executed (consuming
 //! physical registers, issue slots and cache bandwidth) and are squashed when
@@ -55,6 +56,7 @@ use crate::frontend::{
 };
 use crate::fu::FuPool;
 use crate::lsq::{ForwardResult, LoadStoreQueue};
+use crate::memo::ProgramMemo;
 use crate::replay::ReplayCursor;
 use crate::rob::{InstrState, ReorderBuffer, RobEntry};
 use crate::stats::SimStats;
@@ -64,45 +66,13 @@ use earlyreg_core::{
 use earlyreg_isa::{semantics, ArchReg, DecodedTrace, Opcode, Program, RegClass, NO_TRACE};
 use std::sync::Arc;
 
-/// The committed-trace kill plan for a shared program, memoized by `Arc`
-/// identity: experiment sweeps hand the same `Arc<Program>` to every
-/// simulator instance, so the architectural emulation behind an
-/// oracle-style scheme runs once per program instead of once per point.
-/// Entries are dropped when their program is (weak references), and the
-/// derivation runs outside the lock so distinct programs build in parallel
-/// (a racing duplicate derivation is benign — the plans are identical).
-/// `build` supplies the plan on a miss: either a fresh emulator pass
-/// ([`KillPlan::for_program`]) or a conversion of an already-captured
-/// replay trace ([`KillPlan::from_trace`]) — the plans are identical.
-fn memoized_kill_plan(
-    program: &Arc<Program>,
-    build: impl FnOnce() -> Result<KillPlan, String>,
-) -> Result<Arc<earlyreg_core::KillPlan>, String> {
-    use std::sync::{Mutex, Weak};
-    static CACHE: Mutex<Vec<(Weak<Program>, Arc<KillPlan>)>> = Mutex::new(Vec::new());
-
-    let lookup = |cache: &mut Vec<(Weak<Program>, Arc<KillPlan>)>| {
-        cache.retain(|(weak, _)| weak.strong_count() > 0);
-        cache.iter().find_map(|(weak, plan)| {
-            let strong = weak.upgrade()?;
-            Arc::ptr_eq(&strong, program).then(|| Arc::clone(plan))
-        })
-    };
-
-    if let Some(plan) = lookup(&mut CACHE.lock().expect("kill-plan cache poisoned")) {
-        return Ok(plan);
-    }
-    let fresh = Arc::new(build()?);
-    let mut cache = CACHE.lock().expect("kill-plan cache poisoned");
-    if let Some(plan) = lookup(&mut cache) {
-        return Ok(plan); // a racing builder won; use its (identical) plan
-    }
-    cache.push((Arc::downgrade(program), Arc::clone(&fresh)));
-    Ok(fresh)
-}
-
-fn kill_plan_for(program: &Arc<Program>) -> Result<Arc<earlyreg_core::KillPlan>, String> {
-    memoized_kill_plan(program, || KillPlan::for_program(program))
+/// The oracle's committed-trace kill plan for a shared program, memoized
+/// like every per-program derivation here: a sweep building many simulators
+/// over one `Arc<Program>` runs [`KillPlan::for_program`]'s emulator pass
+/// once, live and replay points alike.
+fn kill_plan_for(program: &Arc<Program>) -> Result<Arc<KillPlan>, String> {
+    static KILL_PLANS: ProgramMemo<(), KillPlan> = ProgramMemo::new();
+    KILL_PLANS.get_or_try_build(program, (), |_| true, || KillPlan::for_program(program))
 }
 
 /// Bytes per instruction (used to form I-cache addresses).
@@ -140,8 +110,7 @@ impl RunLimits {
 
     /// Limit the number of committed instructions, deriving the guard cycle
     /// limit from it.  This is the single place that policy lives; the
-    /// experiment runner, the throughput benchmark and the Criterion helpers
-    /// all use it.
+    /// experiment runner and the benchmark harness both use it.
     pub fn instructions(n: u64) -> Self {
         RunLimits {
             max_instructions: n,
@@ -226,23 +195,17 @@ impl Simulator {
     }
 
     /// Build a simulator that feeds its pipeline from a pre-captured
-    /// [`DecodedTrace`] of `program` instead of re-decoding and re-executing
-    /// every instruction (see [`crate::replay`]).  Simulated timing and
-    /// statistics are bit-identical to [`Simulator::new`]; sweeps use this
-    /// to share one capture pass across every policy×config point.  When the
-    /// scheme needs a kill plan and the trace covers the whole execution,
-    /// the plan is derived from the trace — no second emulator pass.
+    /// [`DecodedTrace`] of `program` instead of re-executing every
+    /// instruction (see [`crate::replay`]).  Simulated timing and statistics
+    /// are bit-identical to [`Simulator::new`]; sweeps use this to share one
+    /// capture pass across every policy×config point.  Scheme construction
+    /// is exactly [`Simulator::new`]'s, kill plan included.
     pub fn with_replay(
         config: MachineConfig,
         program: impl Into<Arc<Program>>,
         trace: Arc<DecodedTrace>,
     ) -> Self {
-        let program: Arc<Program> = program.into();
-        let mut seed = SchemeSeed::default();
-        if config.rename.policy.descriptor().needs_kill_plan && trace.halted() {
-            seed.kill_plan = memoized_kill_plan(&program, || KillPlan::from_trace(&trace)).ok();
-        }
-        let mut sim = Self::with_scheme_seed(config, program, seed);
+        let mut sim = Self::new(config, program);
         sim.replay = Some(ReplayCursor::new(trace));
         sim
     }

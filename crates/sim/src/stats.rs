@@ -93,11 +93,6 @@ impl SimStats {
             self.committed_branches as f64 / self.committed as f64
         }
     }
-
-    /// Misprediction rate over resolved branches.
-    pub fn mispredict_rate(&self) -> f64 {
-        1.0 - self.predictor.accuracy()
-    }
 }
 
 #[cfg(test)]
