@@ -5,7 +5,8 @@
 //! is local simulation, which is always available, so results are produced
 //! even with the whole fleet gone:
 //!
-//! 1. **in-memory LRU** — bounded, per-process, canonical-key addressed;
+//! 1. **in-memory LRU** — bounded, per-process, digest-indexed and
+//!    full-key verified;
 //! 2. **on-disk [`PointCache`]** — shared with `earlyreg-exp`;
 //! 3. **remote peers** — other serve nodes speaking the existing
 //!    `POST /points` wire format, each hop bounded by a per-point deadline
@@ -15,7 +16,8 @@
 //! 4. **local compute** — the simulator itself.
 //!
 //! Correctness invariant: **results are bit-identical to a cold local run
-//! no matter which tier answered.**  The memory/disk tiers are
+//! no matter which tier answered.**  The memory tier is digest-indexed
+//! and full-key verified (a digest collision misses); the disk tier is
 //! content-addressed by the full canonical cache key.  The peer tier is
 //! gated by [`peer_eligible`] (the peer derives the machine config from
 //! the default Table 2 scenario, so scenario-overridden points skip the
@@ -30,13 +32,14 @@ use crate::backoff::Backoff;
 use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::client::{self, ClientError};
 use earlyreg_experiments::engine::{PlanContext, PlannedPoint};
-use earlyreg_experiments::Scenario;
+use earlyreg_experiments::runner::RunPoint;
+use earlyreg_experiments::{CacheKey, Scenario};
 use earlyreg_sim::SimStats;
 use earlyreg_workloads::Scale;
 use serde::value::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Every key `--resolver-config` accepts, for self-diagnosing errors
@@ -140,14 +143,47 @@ impl ResolverConfig {
     }
 }
 
-/// A bounded in-memory store of canonical-key → stats, evicting the least
-/// recently used entry on overflow.  Recency is a monotonic tick; eviction
-/// scans for the minimum, which is fine at the capacities this tier runs
-/// at (thousands) given each hit saves a disk read + JSON parse.
+/// A bounded in-memory store of point → stats, evicting the least recently
+/// used entry on overflow.  Recency is a monotonic tick; eviction scans for
+/// the minimum, which is fine at the capacities this tier runs at
+/// (thousands) given each hit saves a disk read + JSON parse.
+///
+/// Entries are indexed by the point's content digest and verified against
+/// the full [`CacheKey`] on every hit, so a digest collision is a miss,
+/// never another point's statistics.  The key is held compactly: the
+/// ~1 KB canonical machine JSON is interned once per distinct machine
+/// (dropped with its last entry, so memory stays bounded by the capacity)
+/// and the stats are boxed, keeping the map's buckets small.
 struct Lru {
     capacity: usize,
     tick: u64,
-    entries: HashMap<String, (SimStats, u64)>,
+    entries: HashMap<u64, LruEntry>,
+    machines: HashSet<Arc<str>>,
+}
+
+struct LruEntry {
+    key: MemoryKey,
+    stats: Box<SimStats>,
+    touched: u64,
+}
+
+/// A [`CacheKey`] with its machine string shared through the interner.
+struct MemoryKey {
+    version: u32,
+    point: RunPoint,
+    workload_fingerprint: u64,
+    max_instructions: u64,
+    machine: Arc<str>,
+}
+
+impl MemoryKey {
+    fn matches(&self, key: &CacheKey) -> bool {
+        self.version == key.version
+            && self.point == key.point
+            && self.workload_fingerprint == key.workload_fingerprint
+            && self.max_instructions == key.max_instructions
+            && *self.machine == *key.machine
+    }
 }
 
 impl Lru {
@@ -156,34 +192,70 @@ impl Lru {
             capacity,
             tick: 0,
             entries: HashMap::new(),
+            machines: HashSet::new(),
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<SimStats> {
+    fn get(&mut self, digest: u64, key: &CacheKey) -> Option<SimStats> {
         self.tick += 1;
         let tick = self.tick;
-        let (stats, touched) = self.entries.get_mut(key)?;
-        *touched = tick;
-        Some(stats.clone())
+        let entry = self.entries.get_mut(&digest)?;
+        if !entry.key.matches(key) {
+            return None;
+        }
+        entry.touched = tick;
+        Some((*entry.stats).clone())
     }
 
-    fn put(&mut self, key: &str, stats: &SimStats) {
+    fn put(&mut self, digest: u64, key: &CacheKey, stats: &SimStats) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(key) {
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&digest) {
             if let Some(oldest) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, (_, touched))| *touched)
-                .map(|(key, _)| key.clone())
+                .min_by_key(|(_, entry)| entry.touched)
+                .map(|(digest, _)| *digest)
             {
-                self.entries.remove(&oldest);
+                let evicted = self.entries.remove(&oldest).expect("just found");
+                self.release(evicted.key.machine);
             }
         }
-        self.entries
-            .insert(key.to_string(), (stats.clone(), self.tick));
+        let machine = self.intern(&key.machine);
+        let entry = LruEntry {
+            key: MemoryKey {
+                version: key.version,
+                point: key.point,
+                workload_fingerprint: key.workload_fingerprint,
+                max_instructions: key.max_instructions,
+                machine,
+            },
+            stats: Box::new(stats.clone()),
+            touched: self.tick,
+        };
+        // A colliding digest replaces the older point: one slot per digest.
+        if let Some(replaced) = self.entries.insert(digest, entry) {
+            self.release(replaced.key.machine);
+        }
+    }
+
+    fn intern(&mut self, machine: &str) -> Arc<str> {
+        if let Some(interned) = self.machines.get(machine) {
+            return Arc::clone(interned);
+        }
+        let interned: Arc<str> = Arc::from(machine);
+        self.machines.insert(Arc::clone(&interned));
+        interned
+    }
+
+    /// Drop a departing entry's machine string from the interner once no
+    /// other entry shares it (the interner holds the only other reference).
+    fn release(&mut self, machine: Arc<str>) {
+        if Arc::strong_count(&machine) == 2 {
+            self.machines.remove(&*machine);
+        }
     }
 }
 
@@ -261,23 +333,23 @@ impl ResolverChain {
         !self.peers.is_empty()
     }
 
-    /// Memory-tier lookup by canonical cache key.
-    pub fn memory_get(&self, canonical: &str) -> Option<SimStats> {
+    /// Memory-tier lookup: by digest, verified against the full cache key.
+    pub fn memory_get(&self, planned: &PlannedPoint) -> Option<SimStats> {
         if self.config.lru_capacity == 0 {
             return None;
         }
         self.lru
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(canonical)
+            .get(planned.digest, &planned.key)
     }
 
     /// Admit a resolved point into the memory tier.
-    pub fn memory_put(&self, canonical: &str, stats: &SimStats) {
+    pub fn memory_put(&self, planned: &PlannedPoint, stats: &SimStats) {
         self.lru
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .put(canonical, stats);
+            .put(planned.digest, &planned.key, stats);
     }
 
     /// Entries currently held by the memory tier.
@@ -469,6 +541,7 @@ mod tests {
     use super::*;
     use earlyreg_core::ReleasePolicy;
     use earlyreg_experiments::ExperimentOptions;
+    use earlyreg_workloads::WorkloadClass;
 
     fn smoke_ctx() -> PlanContext {
         PlanContext::new(
@@ -503,29 +576,103 @@ mod tests {
         assert!(config.apply("retries=many").is_err());
     }
 
+    /// A cache key for `phys_int` registers on `machine`.
+    fn key(phys_int: usize, machine: &str) -> CacheKey {
+        let point = RunPoint {
+            workload: "swim",
+            class: WorkloadClass::Fp,
+            policy: ReleasePolicy::Extended,
+            phys_int,
+            phys_fp: 48,
+        };
+        CacheKey::new(point, machine.to_string(), 0xf00d, 2000)
+    }
+
+    fn cycles(cycles: u64) -> SimStats {
+        SimStats {
+            cycles,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn lru_is_bounded_and_evicts_least_recently_used() {
         let mut lru = Lru::new(2);
-        let stats_a = SimStats {
-            cycles: 1,
-            ..Default::default()
-        };
-        let stats_b = SimStats {
-            cycles: 2,
-            ..Default::default()
-        };
-        let stats_c = SimStats {
-            cycles: 3,
-            ..Default::default()
-        };
-        lru.put("a", &stats_a);
-        lru.put("b", &stats_b);
-        assert!(lru.get("a").is_some()); // refresh a: b is now oldest
-        lru.put("c", &stats_c);
+        let (a, b, c) = (key(1, "m"), key(2, "m"), key(3, "m"));
+        lru.put(1, &a, &cycles(1));
+        lru.put(2, &b, &cycles(2));
+        assert!(lru.get(1, &a).is_some()); // refresh a: b is now oldest
+        lru.put(3, &c, &cycles(3));
         assert_eq!(lru.entries.len(), 2, "capacity is a hard bound");
-        assert!(lru.get("b").is_none(), "b was least recently used");
-        assert_eq!(lru.get("a").unwrap().cycles, 1);
-        assert_eq!(lru.get("c").unwrap().cycles, 3);
+        assert!(lru.get(2, &b).is_none(), "b was least recently used");
+        assert_eq!(lru.get(1, &a).unwrap().cycles, 1);
+        assert_eq!(lru.get(3, &c).unwrap().cycles, 3);
+    }
+
+    #[test]
+    fn lru_capacity_is_a_hard_bound() {
+        let mut lru = Lru::new(8);
+        for n in 0..100 {
+            lru.put(n, &key(n as usize, "m"), &cycles(n));
+            assert!(lru.entries.len() <= 8);
+        }
+        assert_eq!(lru.entries.len(), 8);
+        // The survivors are the eight most recently stored points.
+        for n in 92..100 {
+            assert_eq!(lru.get(n, &key(n as usize, "m")).unwrap().cycles, n);
+        }
+    }
+
+    #[test]
+    fn digest_collision_is_a_miss() {
+        let mut lru = Lru::new(4);
+        let (a, b) = (key(1, "m"), key(2, "m"));
+        lru.put(7, &a, &cycles(1));
+        assert_eq!(lru.get(7, &b), None, "same digest, different key");
+        let other_machine = key(1, "n");
+        assert_eq!(lru.get(7, &other_machine), None, "machine is in the key");
+        assert_eq!(lru.get(7, &a).unwrap().cycles, 1);
+
+        // Storing the colliding point replaces the slot; the first misses.
+        lru.put(7, &b, &cycles(2));
+        assert_eq!(lru.entries.len(), 1);
+        assert_eq!(lru.get(7, &a), None);
+        assert_eq!(lru.get(7, &b).unwrap().cycles, 2);
+    }
+
+    #[test]
+    fn points_on_one_machine_share_one_interned_string() {
+        let mut lru = Lru::new(1000);
+        let machine = "x".repeat(959);
+        for phys_int in 0..100 {
+            lru.put(phys_int as u64, &key(phys_int, &machine), &cycles(0));
+        }
+        assert_eq!(lru.entries.len(), 100);
+        assert_eq!(lru.machines.len(), 1);
+        let interned = lru.machines.iter().next().unwrap();
+        assert_eq!(Arc::strong_count(interned), 101, "100 entries + interner");
+    }
+
+    #[test]
+    fn evicting_a_machines_last_entry_drops_its_string() {
+        let mut lru = Lru::new(2);
+        lru.put(1, &key(1, "m"), &cycles(1));
+        lru.put(2, &key(2, "n"), &cycles(2));
+        lru.put(3, &key(3, "n"), &cycles(3)); // evicts the only "m" entry
+        assert_eq!(lru.machines.len(), 1);
+        assert!(lru.machines.contains("n"));
+        lru.put(4, &key(4, "o"), &cycles(4)); // evicts one of two "n" entries
+        assert_eq!(lru.machines.len(), 2, "'n' still has an entry");
+        lru.put(5, &key(5, "o"), &cycles(5)); // evicts the last "n" entry
+        assert_eq!(lru.machines.len(), 1);
+        assert!(lru.machines.contains("o"));
+
+        // Replacing a colliding slot releases the replaced machine too.
+        lru.put(5, &key(5, "p"), &cycles(6));
+        assert_eq!(lru.machines.len(), 2, "'o' is still held by digest 4");
+        lru.put(4, &key(4, "p"), &cycles(7));
+        assert_eq!(lru.machines.len(), 1);
+        assert!(lru.machines.contains("p"));
     }
 
     #[test]
@@ -534,9 +681,10 @@ mod tests {
             lru_capacity: 0,
             ..ResolverConfig::default()
         });
-        let stats = SimStats::default();
-        chain.memory_put("k", &stats);
-        assert_eq!(chain.memory_get("k"), None);
+        let ctx = smoke_ctx();
+        let point = planned(&ctx);
+        chain.memory_put(&point, &SimStats::default());
+        assert_eq!(chain.memory_get(&point), None);
         assert_eq!(chain.memory_len(), 0);
     }
 

@@ -21,7 +21,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// How often the accept loop re-checks the shutdown flags while idle.
+/// The longest the idle accept loop waits in `poll(2)` before re-checking
+/// the shutdown flag, [`signal::received`] and the drain grace window: it
+/// bounds shutdown and signal latency.  It is not on the request path — a
+/// pending connection wakes the wait at once.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Transport + service configuration of one server.
@@ -174,8 +177,10 @@ fn accept_loop(
                     }
                 }
                 Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_POLL);
+                    wait_for_connection(&listener, ACCEPT_POLL);
                 }
+                // A real accept error (e.g. EMFILE) leaves the connection
+                // pending, so waiting for readiness would spin: back off.
                 Err(_) => thread::sleep(ACCEPT_POLL),
             }
         }
@@ -183,6 +188,50 @@ fn accept_loop(
         // queued and in flight, then fall out of the scope.
         queue.close();
     });
+}
+
+/// Block until `listener` has a pending connection or `timeout` passes.
+/// Declared by hand, like `signal(2)` in [`signal`]: `std` already links
+/// the C library.  A signal interrupts the wait early, which is harmless —
+/// the caller re-checks its flags either way.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::raw::{c_int, c_short};
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    const POLLIN: c_short = 0x1;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one valid, exclusively borrowed `pollfd` for the
+    // duration of the call, and `nfds` says exactly one.
+    if unsafe { poll(&mut fd, 1, millis) } < 0
+        && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted
+    {
+        thread::sleep(timeout);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    thread::sleep(timeout);
 }
 
 fn handle_connection(mut stream: TcpStream, service: &Service) {

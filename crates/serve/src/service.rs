@@ -641,19 +641,18 @@ impl Service {
         let mut followers = Vec::new();
 
         for &planned in points {
-            let canonical = planned.key.canonical();
-            if let Some(hit) = self.chain.memory_get(&canonical) {
+            if let Some(hit) = self.chain.memory_get(planned) {
                 stats.lru_hits += 1;
                 record(results, planned, hit);
                 continue;
             }
             if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
                 stats.cache_hits += 1;
-                self.chain.memory_put(&canonical, &cached);
+                self.chain.memory_put(planned, &cached);
                 record(results, planned, cached);
                 continue;
             }
-            match self.flights.join(canonical) {
+            match self.flights.join(planned.key.canonical()) {
                 Join::Leader(leader) => leaders.push((planned, leader)),
                 Join::Follower(follower) => followers.push((planned, follower)),
             }
@@ -665,8 +664,7 @@ impl Service {
         // the re-check that race would re-resolve an already-stored point.
         let mut to_resolve = Vec::with_capacity(leaders.len());
         for (planned, leader) in leaders {
-            let canonical = planned.key.canonical();
-            if let Some(hit) = self.chain.memory_get(&canonical) {
+            if let Some(hit) = self.chain.memory_get(planned) {
                 stats.lru_hits += 1;
                 leader.publish(hit.clone());
                 record(results, planned, hit);
@@ -675,7 +673,7 @@ impl Service {
             match self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
                 Some(cached) => {
                     stats.cache_hits += 1;
-                    self.chain.memory_put(&canonical, &cached);
+                    self.chain.memory_put(planned, &cached);
                     leader.publish(cached.clone());
                     record(results, planned, cached);
                 }
@@ -721,10 +719,7 @@ impl Service {
                 Some(remote) => {
                     // Peer answers enter the local tiers exactly like
                     // simulated ones: store before publish.
-                    if let Some(cache) = &self.cache {
-                        let _ = cache.store(&planned.key, &remote);
-                    }
-                    self.chain.memory_put(&planned.key.canonical(), &remote);
+                    self.remember(planned, &remote);
                     leader.publish(remote.clone());
                     record(results, planned, remote);
                 }
@@ -743,13 +738,7 @@ impl Service {
         });
         for ((planned, leader), result) in to_simulate.into_iter().zip(simulated) {
             self.simulations.fetch_add(1, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                if let Err(error) = cache.store(&planned.key, &result.stats) {
-                    eprintln!("warning: cannot cache point {:?}: {error}", planned.point);
-                }
-            }
-            self.chain
-                .memory_put(&planned.key.canonical(), &result.stats);
+            self.remember(planned, &result.stats);
             leader.publish(result.stats.clone());
             stats.simulated += 1;
             results.insert(planned.digest, result);
@@ -766,6 +755,18 @@ impl Service {
             }
         }
         failed
+    }
+
+    /// Admit a freshly resolved point into the disk and memory tiers.  A
+    /// failed store (full or read-only cache directory) only warns: the
+    /// answer is still correct, it just is not cached on disk.
+    fn remember(&self, planned: &PlannedPoint, stats: &SimStats) {
+        if let Some(cache) = &self.cache {
+            if let Err(error) = cache.store(&planned.key, stats) {
+                eprintln!("warning: cannot cache point {:?}: {error}", planned.point);
+            }
+        }
+        self.chain.memory_put(planned, stats);
     }
 }
 

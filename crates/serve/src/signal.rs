@@ -2,8 +2,10 @@
 //!
 //! `std` already links the platform C library on Unix, so declaring
 //! `signal(2)` ourselves is enough; the handler only stores to an atomic
-//! (async-signal-safe).  The accept loop polls [`received`] between
-//! accepts, so delivery latency is one poll interval.
+//! (async-signal-safe).  The idle accept loop waits in `poll(2)` on the
+//! listener for at most its `ACCEPT_POLL` interval and re-checks
+//! [`received`] after every wake, so delivery latency is at most one
+//! interval (a signal that interrupts the wait is seen at once).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

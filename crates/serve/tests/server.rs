@@ -653,3 +653,36 @@ fn shutdown_endpoint_is_disabled_by_default() {
     assert_eq!(request(server.addr, "GET", "/healthz", "").status, 200);
     server.stop();
 }
+
+/// An idle accept loop wakes for a pending connection at once instead of
+/// on a fixed poll tick: sequential fresh-connection requests are not
+/// paced by the shutdown-check interval.
+#[test]
+fn sequential_connections_are_not_paced_by_the_accept_loop() {
+    let server = start(test_config(None)).expect("bind");
+    let begun = std::time::Instant::now();
+    for _ in 0..100 {
+        assert_eq!(request(server.addr, "GET", "/healthz", "").status, 200);
+    }
+    let elapsed = begun.elapsed();
+    server.stop();
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "100 sequential /healthz requests took {elapsed:?}"
+    );
+}
+
+/// Stopping an idle server returns promptly: the accept loop's wait always
+/// wakes to see the shutdown flag.
+#[test]
+fn stopping_an_idle_server_returns_promptly() {
+    let server = start(test_config(None)).expect("bind");
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let begun = std::time::Instant::now();
+    server.stop();
+    let elapsed = begun.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "stop() on an idle server took {elapsed:?}"
+    );
+}
